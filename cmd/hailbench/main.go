@@ -9,7 +9,6 @@
 //	hailbench [-quick] -cache [-pack-scans] [-cache-budget N] [-offer-rate 0.25] [-jobs 6] [-workload UserVisits]
 //	hailbench [-quick] -dispatch [-cache-budget N] [-workload UserVisits]
 //	hailbench [-quick] -lifecycle [-offer-rate 0.5] [-jobs 6] [-workload UserVisits] [-adaptive-budget N]
-//	hailbench [-quick] -vector [-workload UserVisits]
 //	hailbench [-quick] -obs [-workload UserVisits] [-json BENCH_obs.json]
 //	hailbench [-quick] -serve [-queries 240] [-tenants 4] [-workload UserVisits] [-json BENCH_serve.json]
 //
@@ -49,13 +48,6 @@
 // cold column's replicas so the new column converges inside the same
 // budget — the trajectory that was BudgetDenied forever before the
 // lifecycle manager.
-//
-// -vector runs the vectorized-scan A/B: each benchmark query executes
-// through the legacy row-at-a-time record reader and the batch pipeline
-// (selection vectors + late materialization), gated byte-identical, and
-// reports measured records/s, MB/s and the batch path's speedup — the one
-// experiment whose numbers are wall-clock throughput rather than
-// cost-model seconds.
 //
 // -obs runs the benchmark query set with the observability layer fully
 // wired (per-query trace spans, metrics registry, namenode gauges) and
@@ -101,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cacheMode := fs.Bool("cache", false, "run the result-cache trajectory experiment")
 	dispatchMode := fs.Bool("dispatch", false, "run the scan-split packing (dispatch) experiment")
 	lifecycleMode := fs.Bool("lifecycle", false, "run the adaptive replica lifecycle (workload shift + eviction) experiment")
-	vectorMode := fs.Bool("vector", false, "run the vectorized-scan A/B (row path vs batch pipeline, measured throughput)")
 	obsMode := fs.Bool("obs", false, "run the observability experiment (traced benchmark queries, task-latency p50/p95/p99)")
 	serveMode := fs.Bool("serve", false, "run the resident-server storm (concurrent multi-tenant queries over one shared cache+indexer, p50/p99 + throughput)")
 	serveQueries := fs.Int("queries", 240, "serve: concurrent queries in the storm")
@@ -132,13 +123,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The trajectory experiments and the paper-figure list are separate
 	// modes; reject combinations that would silently ignore a flag.
 	modes := 0
-	for _, on := range []bool{*adaptiveMode, *cacheMode, *dispatchMode, *lifecycleMode, *vectorMode, *obsMode, *serveMode} {
+	for _, on := range []bool{*adaptiveMode, *cacheMode, *dispatchMode, *lifecycleMode, *obsMode, *serveMode} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("%w: -adaptive, -cache, -dispatch, -lifecycle, -vector, -obs and -serve are mutually exclusive", errUsage)
+		return fmt.Errorf("%w: -adaptive, -cache, -dispatch, -lifecycle, -obs and -serve are mutually exclusive", errUsage)
 	}
 	if modes > 0 && *only != "" {
 		return fmt.Errorf("%w: -only does not combine with the trajectory experiments", errUsage)
@@ -168,12 +159,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// converts blocks; reject flags it would silently ignore.
 		if stray := cliutil.Stray(fs, "jobs", "offer-rate", "adaptive-budget"); len(stray) > 0 {
 			return fmt.Errorf("%w: %s does not combine with -dispatch", errUsage, strings.Join(stray, ", "))
-		}
-	}
-	if *vectorMode {
-		// The vector A/B fixes its own query set and repeat count.
-		if stray := cliutil.Stray(fs, "jobs", "offer-rate", "adaptive-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s does not combine with -vector", errUsage, strings.Join(stray, ", "))
 		}
 	}
 	if *obsMode {
@@ -251,18 +236,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintln(stdout, rep)
 			fmt.Fprintf(stdout, "(FigObs computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		case *vectorMode:
-			repeats := 3
-			if *quick {
-				repeats = 2
-			}
-			rep, err := r.ExpVector(w, repeats)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigVector computed in %.1fs real time)\n", time.Since(start).Seconds())
 			return writeJSON(rep)
 		case *cacheMode:
 			rep, err := r.ExpCache(w, *jobs, *cacheBudget, adaptive.RateFromFlag(*offerRate), *packScans)

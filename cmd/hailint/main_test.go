@@ -108,6 +108,39 @@ func use() error {
 	}
 }
 
+// TestNestedModuleSkipped: "./..." stops at a nested module, as the go
+// tool's does — a violation inside a directory with its own go.mod is
+// not the outer module's to report.
+func TestNestedModuleSkipped(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module smoketest\n\ngo 1.24\n",
+		"sink.go": `package smoketest
+
+func save() error { return nil }
+
+func use() error {
+	return save()
+}
+`,
+		"nested/go.mod": "module smoketest/nested\n\ngo 1.24\n",
+		"nested/sink.go": `package nested
+
+func save() error { return nil }
+
+func use() {
+	save()
+}
+`,
+	})
+	code, out, errOut := runCapture(t, "-C", dir, "./...")
+	if code != 0 {
+		t.Fatalf("nested module's violation reported: exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	if strings.Contains(out, "nested") {
+		t.Errorf("output mentions the nested module:\n%s", out)
+	}
+}
+
 func TestAnalyzerSubset(t *testing.T) {
 	// The same violating module is clean when the flag deselects errsink.
 	dir := writeModule(t, map[string]string{

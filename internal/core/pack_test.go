@@ -221,18 +221,18 @@ func (o *countingObserver) ObserveJob(_ string, _ int, indexed, missing []hdfs.B
 	o.indexed, o.missing = len(indexed), len(missing)
 }
 
-// TestSplitPhaseStatsCountNameNodeOps is the satellite regression for the
-// hard-coded-zero SplitPhaseStats: the adaptive path performs per-block
-// directory lookups during Splits, and those must be accounted — while
-// block-header I/O stays zero by design (§6.4.1).
+// TestSplitPhaseStatsCountNameNodeOps: the adaptive path performs
+// per-block directory lookups during the split phase, and SplitsWithStats
+// must account them — while block-header I/O stays zero by design
+// (§6.4.1).
 func TestSplitPhaseStatsCountNameNodeOps(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 5000, workload.UserVisitsOptions{})
 	obs := &countingObserver{}
 	f := &InputFormat{Cluster: cluster, Query: scanOnlyQuery(), Adaptive: obs}
-	if _, err := f.Splits("/uv"); err != nil {
+	_, st, err := f.SplitsWithStats("/uv")
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := f.SplitPhaseStats()
 	if obs.missing != sum.Blocks {
 		t.Fatalf("observer saw %d missing blocks, want %d", obs.missing, sum.Blocks)
 	}
@@ -245,18 +245,23 @@ func TestSplitPhaseStatsCountNameNodeOps(t *testing.T) {
 		t.Errorf("split phase reported block I/O (%+v); HAIL reads no headers at split time", st)
 	}
 
-	// The counter is per-Splits-call, not cumulative, and flows into the
+	// The counter is per call, not cumulative, and flows into the
 	// engine's JobResult.
+	input := &InputFormat{Cluster: cluster, Query: scanOnlyQuery()}
+	_, want, err := input.SplitsWithStats("/uv")
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := &mapred.Engine{Cluster: cluster}
 	res, err := e.Run(&mapred.Job{
 		Name: "ops", File: "/uv",
-		Input: &InputFormat{Cluster: cluster, Query: scanOnlyQuery()},
+		Input: input,
 		Map:   workload.PassthroughMap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SplitPhase.NameNodeOps == 0 {
-		t.Error("JobResult.SplitPhase.NameNodeOps = 0, want > 0")
+	if res.SplitPhase.NameNodeOps == 0 || res.SplitPhase.NameNodeOps != want.NameNodeOps {
+		t.Errorf("JobResult.SplitPhase.NameNodeOps = %d, want %d (> 0)", res.SplitPhase.NameNodeOps, want.NameNodeOps)
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // TestStatsDeterministic is the regression test for map-iteration-order
-// leakage in the I/O accounting: emitRange used to read the needed
-// columns in Go map order, so the seek count of an identical job varied
-// run to run (a read is a "seek" when not adjacent to the previous one).
+// leakage in the I/O accounting: the record reader used to read the
+// needed columns in Go map order, so the seek count of an identical job
+// varied run to run (a read is a "seek" when not adjacent to the previous
+// one).
 // Columns are now read in ascending order; repeated identical jobs must
 // report identical stats — which is also what lets the sharded-namenode
 // equivalence tests compare runs byte for byte.

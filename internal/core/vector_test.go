@@ -10,15 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
-// runPath runs one query over the file with the given execution path,
+// runPath runs one query over the file through the given input format,
 // single-threaded so the output order is deterministic.
-func runPath(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Query, rowPath bool) *mapred.JobResult {
+func runPath(t *testing.T, cluster *hdfs.Cluster, file string, input mapred.InputFormat) *mapred.JobResult {
 	t.Helper()
 	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 	res, err := e.Run(&mapred.Job{
 		Name:   "vector-ab",
 		File:   file,
-		Input:  &InputFormat{Cluster: cluster, Query: q, Splitting: true, RowPath: rowPath},
+		Input:  input,
 		Map:    workload.PassthroughMap,
 		MapSig: workload.PassthroughMapSig,
 	})
@@ -29,18 +29,20 @@ func runPath(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Query, r
 }
 
 // normStats zeroes the counters only the batch pipeline reports, leaving
-// everything both paths must agree on.
+// everything the batch pipeline and the row oracle must agree on.
 func normStats(s mapred.TaskStats) mapred.TaskStats {
 	s.RowsScanned, s.RowsSelected, s.BatchesEmitted = 0, 0, 0
 	return s
 }
 
-// TestBatchPathMatchesRowPath is the tentpole's equivalence gate at the
-// core layer: for every Bob query plus scan/edge cases (no filter, string
-// range, half-bounded predicate, empty result), the vectorized pipeline
-// and the legacy row path must produce byte-identical output in identical
-// order, and identical TaskStats up to the batch-only counters — same
-// bytes, same seeks, same partitions, same records.
+// TestBatchPathMatchesRowPath is the vectorized pipeline's equivalence
+// gate at the core layer: for every Bob query plus scan/edge cases (no
+// filter, string range, half-bounded predicate, empty result, a selective
+// full scan on an unindexed column), the batch reader and the
+// row-at-a-time oracle (row_oracle_test.go) must produce byte-identical
+// output in identical order, and identical TaskStats up to the batch-only
+// counters — same bytes, same seeks, same partitions, same records. The
+// batch reader's cache signature must be exactly the query's own.
 func TestBatchPathMatchesRowPath(t *testing.T) {
 	cluster, _, _, _ := uvFixture(t, 6_000, workload.UserVisitsOptions{NeedleEvery: 500, BadEvery: 750})
 	s := workload.UserVisitsSchema()
@@ -60,6 +62,10 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 			Filter:     []query.Predicate{query.Eq(workload.UVVisitDate, schema.DateVal(schema.MustDate("2050-01-01")))},
 			Projection: []int{workload.UVSourceIP},
 		},
+		{ // selective full scan on an unindexed column
+			Filter:     []query.Predicate{query.Between(workload.UVDuration, schema.IntVal(100), schema.IntVal(199))},
+			Projection: []int{workload.UVSourceIP},
+		},
 	}
 	for _, bq := range workload.BobQueries() {
 		queries = append(queries, bq.Query)
@@ -69,10 +75,14 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 		if err := q.Validate(s); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		row := runPath(t, cluster, "/uv", q, true)
-		batch := runPath(t, cluster, "/uv", q, false)
+		input := &InputFormat{Cluster: cluster, Query: q, Splitting: true}
+		if sig, ok := input.QuerySignature(); !ok || sig != q.Signature() {
+			t.Errorf("%s: QuerySignature() = %q, %v; want the query's own %q", q, sig, ok, q.Signature())
+		}
+		row := runPath(t, cluster, "/uv", rowOracleInput{input})
+		batch := runPath(t, cluster, "/uv", input)
 		if len(row.Output) != len(batch.Output) {
-			t.Fatalf("%s: row path emitted %d records, batch path %d", q, len(row.Output), len(batch.Output))
+			t.Fatalf("%s: row oracle emitted %d records, batch path %d", q, len(row.Output), len(batch.Output))
 		}
 		for i := range row.Output {
 			if row.Output[i] != batch.Output[i] {
@@ -84,7 +94,7 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 			t.Errorf("%s: stats diverge:\nrow:   %+v\nbatch: %+v", q, normStats(rs), normStats(bs))
 		}
 		if rs.RowsScanned != 0 || rs.BatchesEmitted != 0 {
-			t.Errorf("%s: row path reported batch counters: %+v", q, rs)
+			t.Errorf("%s: row oracle reported batch counters: %+v", q, rs)
 		}
 		if bs.RowsScanned != bs.RecordsScanned {
 			t.Errorf("%s: RowsScanned = %d, RecordsScanned = %d", q, bs.RowsScanned, bs.RecordsScanned)
@@ -130,10 +140,10 @@ func TestMapBatchMatchesMap(t *testing.T) {
 
 // TestScanAllocationsNotPerRow pins down the scratch-buffer reuse: on an
 // all-fixed-width schema, a whole-split read must not allocate per row —
-// neither in the batch pipeline (reused vectors, selection and scratch
-// row) nor in the legacy row path (reused projected row). The bound is
-// generous for per-block/per-batch setup but orders of magnitude below
-// one allocation per row.
+// the batch pipeline reuses its vectors, selection and scratch row. The
+// bound leaves headroom for per-block/per-batch setup (the scan measures
+// about 220 allocations) but is orders of magnitude below one allocation
+// per row.
 func TestScanAllocationsNotPerRow(t *testing.T) {
 	const nRows = 16_000
 	cluster, err := hdfs.NewCluster(2)
@@ -156,68 +166,32 @@ func TestScanAllocationsNotPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rowPath := range []bool{false, true} {
-		f := &InputFormat{Cluster: cluster, Query: q, Splitting: true, RowPath: rowPath}
-		splits, err := f.Splits("/synalloc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows int64
-		allocs := testing.AllocsPerRun(5, func() {
-			rows = 0
-			for _, split := range splits {
-				rr, err := f.Open(split, split.Locations[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := rr.Read(func(mapred.Record) {})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows += st.RecordsScanned
+	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true}
+	splits, err := f.Splits("/synalloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	allocs := testing.AllocsPerRun(5, func() {
+		rows = 0
+		for _, split := range splits {
+			rr, err := f.Open(split, split.Locations[0])
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if rows != nRows {
-			t.Fatalf("rowPath=%v: scanned %d rows, want %d", rowPath, rows, nRows)
+			st, err := rr.Read(func(mapred.Record) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += st.RecordsScanned
 		}
-		// ~half the rows qualify, so one allocation per delivered row
-		// would show up as thousands.
-		if allocs > 600 {
-			t.Errorf("rowPath=%v: %v allocations for a %d-row scan — per-row allocation regressed", rowPath, allocs, nRows)
-		}
+	})
+	if rows != nRows {
+		t.Fatalf("scanned %d rows, want %d", rows, nRows)
 	}
-}
-
-// TestRowPathIsCacheKeyed pins the fix for the real finding hailint's
-// sigflow analyzer surfaced on this tree: InputFormat.RowPath is read on
-// the block-scan path (Open threads it into the reader), so it must be
-// part of the cache key. Before the fix, a query run with -row-path and
-// the same query run on the batch path shared qcache entries — correct
-// only as long as the two paths stay byte-equivalent, a property tests
-// maintain but nothing enforces at cache-probe time. Two InputFormats
-// differing only in RowPath must therefore sign differently, and the
-// default (batch) signature must stay exactly the query's own signature
-// so existing cache keys are unchanged.
-func TestRowPathIsCacheKeyed(t *testing.T) {
-	q := &query.Query{
-		Filter:     []query.Predicate{query.AtLeast(workload.UVAdRevenue, schema.FloatVal(100))},
-		Projection: []int{workload.UVSourceIP},
-	}
-	batch := &InputFormat{Query: q}
-	row := &InputFormat{Query: q, RowPath: true}
-
-	bSig, ok := batch.QuerySignature()
-	if !ok {
-		t.Fatal("batch QuerySignature not ok")
-	}
-	rSig, ok := row.QuerySignature()
-	if !ok {
-		t.Fatal("row QuerySignature not ok")
-	}
-	if bSig == rSig {
-		t.Fatalf("RowPath is not cache-keyed: both paths sign %q — the block cache would serve one path's bytes for the other", bSig)
-	}
-	if bSig != q.Signature() {
-		t.Fatalf("batch signature changed by the fix: %q != %q — existing cache keys must stay valid", bSig, q.Signature())
+	// ~half the rows qualify, so one allocation per delivered row would
+	// show up as thousands.
+	if allocs > 300 {
+		t.Errorf("%v allocations for a %d-row scan — per-row allocation regressed", allocs, nRows)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -65,7 +66,7 @@ func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 	reg := obs.NewRegistry()
 	f.cluster.NameNode().BindObs(reg)
 
-	for _, bq := range vectorBenchQueries(w) {
+	for _, bq := range obsQueries(w) {
 		input := &core.InputFormat{
 			Cluster: f.cluster, Query: bq.q,
 			Splitting: true, SplitsPerNode: SplitsPerNodePaper,
@@ -199,4 +200,30 @@ func (rep *ObsReport) String() string {
 			q.Name, q.Tasks, q.Spans, q.WallMs, 100*q.RootCoverage, 100*q.PhaseCoverage)
 	}
 	return b.String()
+}
+
+// obsQueries picks ExpObs's query set, one per scan shape: a
+// selective full scan (no usable index — every row flows through the
+// kernels), a selective index scan (the kernels run over the
+// index-narrowed range), and a wide no-filter materialization
+// (late-materialization cost dominated).
+func obsQueries(w Workload) []struct {
+	name string
+	q    *query.Query
+} {
+	scan := adaptiveQuery(w)
+	var indexed *query.Query
+	if w == UserVisits {
+		indexed = workload.BobQueries()[4].Query // @4 between(1,100), 20%
+	} else {
+		indexed = workload.SynQueries()[0].Query // @1 between(0,99), wide proj
+	}
+	return []struct {
+		name string
+		q    *query.Query
+	}{
+		{"scan-sel", scan},
+		{"index-sel", indexed},
+		{"wide-scan", &query.Query{}},
+	}
 }

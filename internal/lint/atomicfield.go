@@ -22,9 +22,9 @@ func (*atomicUseFact) AFact() {}
 // bug every time, and it hides from the race detector until a test
 // happens to interleave the two. (Fields typed atomic.Int64 etc. are
 // immune by construction; this analyzer polices the pointer-style
-// remnants, e.g. core.InputFormat.nnOps.) The atomic-use set travels
-// across packages as an object fact on the field, so a plain access to
-// an exported counter from a dependent package is caught too.
+// form.) The atomic-use set travels across packages as an object fact on
+// the field, so a plain access to an exported counter from a dependent
+// package is caught too.
 var AtomicField = &Analyzer{
 	Name:      "atomicfield",
 	Doc:       "fields accessed via sync/atomic must be accessed atomically everywhere",

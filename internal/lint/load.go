@@ -208,10 +208,11 @@ func moduleName(root string) (string, error) {
 
 // LoadModule loads the packages selected by patterns from the module rooted
 // at root. Supported patterns mirror what the CLIs need: "./..." (every
-// package), "./dir/..." (a subtree) and "./dir" (one package). Test files
-// are not loaded: the invariants gate the shipped tree, and test-only
-// packages would drag the loader through external test-package plumbing
-// for no gain.
+// package), "./dir/..." (a subtree) and "./dir" (one package). Like the go
+// tool, the "..." walks stop at nested modules (directories with their own
+// go.mod). Test files are not loaded: the invariants gate the shipped
+// tree, and test-only packages would drag the loader through external
+// test-package plumbing for no gain.
 func LoadModule(root string, patterns []string) (pkgs []*Package, err error) {
 	// The parser and type checker are fed arbitrary on-disk source; a
 	// panic anywhere below (go/types has a history of crashers on exotic
@@ -238,6 +239,11 @@ func LoadModule(root string, patterns []string) (pkgs []*Package, err error) {
 			// Never skip the walk root itself: "." (and any base whose last
 			// element starts with a dot) must still be descended into.
 			if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			// A nested go.mod starts another module, which the go tool's
+			// "./..." leaves out too.
+			if p != root && fileExists(filepath.Join(p, "go.mod")) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(p) && !seen[p] {
@@ -289,6 +295,11 @@ func LoadModule(root string, patterns []string) (pkgs []*Package, err error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+func fileExists(p string) bool {
+	st, err := os.Stat(p)
+	return err == nil && !st.IsDir()
 }
 
 func hasGoFiles(dir string) bool {

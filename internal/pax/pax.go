@@ -15,7 +15,8 @@
 // skips r%n terminators.
 //
 // Reading has two granularities. Reader.ReadColumnRange boxes a row range
-// into []schema.Value eagerly — the legacy row path. ColumnCursor is the
+// into []schema.Value eagerly — the whole-block decode (Unmarshal) and the
+// core package's row-at-a-time test oracle use it. ColumnCursor is the
 // vectorized access path: it performs the same raw reads (same bytes,
 // same seeks) once at creation, then decodes lazily, batch by batch, into
 // reused typed schema.Vectors; NextSelected decodes only the rows a

@@ -22,6 +22,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -257,6 +258,12 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
+// maxQueryBody bounds a POST /query body. The body is decoded while the
+// request holds an admission slot, so without a bound one huge body would
+// hold the slot and unbounded memory. A query annotation is a few hundred
+// bytes; larger bodies get 413.
+const maxQueryBody = 1 << 20
+
 // QueryRequest is the POST /query body.
 type QueryRequest struct {
 	// Tenant attributes the query to a budget ledger; empty means the
@@ -273,7 +280,6 @@ type QueryRequest struct {
 	PackScans bool `json:"pack_scans,omitempty"`
 	Adaptive  bool `json:"adaptive,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
-	RowPath   bool `json:"row_path,omitempty"`
 	// Trace records this query's span tree into the /trace ring buffer.
 	Trace bool `json:"trace,omitempty"`
 	// Limit caps the rows returned (0 = all).
@@ -328,8 +334,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.sem }()
 
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), status)
 		return
 	}
 	resp, err := s.runQuery(&req)
@@ -429,7 +440,6 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 		Query:     q,
 		Splitting: req.Splitting,
 		PackScans: req.PackScans,
-		RowPath:   req.RowPath,
 	}
 	engine := &mapred.Engine{
 		Cluster:     s.cluster,

@@ -210,6 +210,29 @@ func TestAdmissionBackpressure429(t *testing.T) {
 	<-s.sem
 }
 
+// TestQueryBodyTooLarge413: a /query body over maxQueryBody is refused
+// with 413, and the admission slot it held is released — on a one-slot
+// server the next normal query is admitted.
+func TestQueryBodyTooLarge413(t *testing.T) {
+	dir := makeFS(t, 700)
+	s := newTestServer(t, dir, Config{MaxInFlight: 1, QueueTimeout: 2 * time.Second})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"file":"/t","query":"` + strings.Repeat("x", maxQueryBody) + `"}`
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if _, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ}); code != http.StatusOK {
+		t.Fatalf("query after the oversized body: status %d, want 200 (slot not released?)", code)
+	}
+}
+
 func TestTenantCacheBudget(t *testing.T) {
 	dir := makeFS(t, 700)
 	s := newTestServer(t, dir, Config{
